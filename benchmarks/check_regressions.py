@@ -27,6 +27,10 @@ FLOORS: dict[str, float] = {
     "shared_slot_exact_bfv.throughput_speedup": 3.0,
     "cached_engine_serving.throughput_speedup": 3.0,
     "pipelined_executor.throughput_speedup": 1.2,
+    # Background builds alone: one shard worker, so a cold key's engine
+    # builds on a background thread while the batch ahead of it runs
+    # (typically ~1.7x over the serial drain).
+    "pipelined_executor.background_build_speedup": 1.2,
     "bsgs_matmul.rotation_reduction": 3.0,
     "fhgs_slot_sharing.cross_term_ciphertext_reduction": 3.0,
     "plan_store_warm_start.warm_start_speedup": 5.0,
@@ -37,8 +41,7 @@ FLOORS: dict[str, float] = {
     "ntt_domain_residency.exact_backend_speedup": 2.0,
     # Compiled kernel tier: the self-calibrated fastest tier must keep a
     # real wall-clock win on exact-backend serving at paper dimensions
-    # (N = 4096, six limbs; typically ~2.7x on a single core, more with
-    # multicore parallelism available).
+    # (N = 4096, six limbs; typically ~2.7x).
     "kernel_tier.exact_backend_speedup": 2.0,
     # Fault recovery: serving throughput under the injected transient-fault
     # rate (with one guaranteed firing) must stay within 0.8x of the

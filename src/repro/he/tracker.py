@@ -63,16 +63,27 @@ class OperationTracker:
         """Record ``count`` occurrences of ``operation``."""
         self.counts[operation] += count
         self.bytes_moved += bytes_moved
-        if self._current_request is not None:
-            per_request = self.request_counts.setdefault(self._current_request, Counter())
+        # ``get`` before creating: ``setdefault(key, Counter())`` would build
+        # a throwaway Counter on every one of the hot path's many calls.
+        request = self._current_request
+        if request is not None:
+            per_request = self.request_counts.get(request)
+            if per_request is None:
+                per_request = self.request_counts[request] = Counter()
             per_request[operation] += count
-            self.request_bytes[self._current_request] = (
-                self.request_bytes.get(self._current_request, 0) + bytes_moved
-            )
-        if self._current_phase is not None:
-            self.phase_counts.setdefault(self._current_phase, Counter())[operation] += count
-        if self._current_worker is not None:
-            self.worker_counts.setdefault(self._current_worker, Counter())[operation] += count
+            self.request_bytes[request] = self.request_bytes.get(request, 0) + bytes_moved
+        phase = self._current_phase
+        if phase is not None:
+            per_phase = self.phase_counts.get(phase)
+            if per_phase is None:
+                per_phase = self.phase_counts[phase] = Counter()
+            per_phase[operation] += count
+        worker = self._current_worker
+        if worker is not None:
+            per_worker = self.worker_counts.get(worker)
+            if per_worker is None:
+                per_worker = self.worker_counts[worker] = Counter()
+            per_worker[operation] += count
 
     def count(self, operation: str) -> int:
         """Number of recorded occurrences of ``operation``."""

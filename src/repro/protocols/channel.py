@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 __all__ = ["Phase", "Message", "NetworkModel", "Channel"]
@@ -73,9 +74,10 @@ class Channel:
     _current_phase: Phase = Phase.ONLINE
     _current_request: str | None = None
     _current_worker: str | None = None
-    #: incremental per-(request, phase) [bytes, rounds] so per-request
-    #: reporting stays O(1) as the message log grows over a serving run
-    _request_totals: dict = field(default_factory=dict, repr=False)
+    #: incremental [bytes, rounds] per (request, phase); request ``None``
+    #: holds the phase's *whole* traffic.  Per-request and per-phase
+    #: reporting stays O(1) as the message log grows over a serving run.
+    _totals: dict = field(default_factory=dict, init=False, repr=False)
 
     # -- step/phase labelling ------------------------------------------------
     def set_context(self, *, step: str | None = None, phase: Phase | None = None) -> None:
@@ -126,9 +128,23 @@ class Channel:
             request=self._current_request,
             worker=self._current_worker,
         )
+        self._append(message)
+
+    def merge(self, messages: Iterable[Message]) -> None:
+        """Append messages recorded by another channel (e.g. a worker
+        process's offline exchange), keeping the running totals exact."""
+        for message in messages:
+            self._append(message)
+
+    def _append(self, message: Message) -> None:
         self.messages.append(message)
+        keys = [(None, message.phase)]
         if message.request is not None:
-            totals = self._request_totals.setdefault((message.request, message.phase), [0, 0])
+            keys.append((message.request, message.phase))
+        for key in keys:
+            totals = self._totals.get(key)
+            if totals is None:
+                totals = self._totals[key] = [0, 0]
             totals[0] += message.num_bytes
             totals[1] += 1
 
@@ -149,14 +165,14 @@ class Channel:
             and (worker is None or m.worker == worker)
         ]
 
-    def _request_total(self, request: str, phase: Phase | None, index: int) -> int:
+    def _total(self, request: str | None, phase: Phase | None, index: int) -> int:
         if phase is None:
             return sum(
                 totals[index]
-                for (tagged, _), totals in self._request_totals.items()
+                for (tagged, _), totals in self._totals.items()
                 if tagged == request
             )
-        return self._request_totals.get((request, phase), (0, 0))[index]
+        return self._totals.get((request, phase), (0, 0))[index]
 
     def total_bytes(
         self,
@@ -166,10 +182,10 @@ class Channel:
         worker: str | None = None,
     ) -> int:
         """Total bytes sent, optionally filtered by phase/step/request/worker."""
-        if request is not None and step is None and worker is None:
-            # O(1) incremental path: per-request reporting must not rescan
-            # the whole (ever-growing) message log of a serving run.
-            return self._request_total(request, phase, 0)
+        if step is None and worker is None:
+            # O(1) incremental path: per-request and per-phase reporting
+            # must not rescan the whole (ever-growing) log of a serving run.
+            return self._total(request, phase, 0)
         return sum(m.num_bytes for m in self._filtered(phase, step, request, worker))
 
     def round_count(
@@ -180,8 +196,8 @@ class Channel:
         worker: str | None = None,
     ) -> int:
         """Number of interactions (messages), optionally filtered."""
-        if request is not None and step is None and worker is None:
-            return self._request_total(request, phase, 1)
+        if step is None and worker is None:
+            return self._total(request, phase, 1)
         return len(self._filtered(phase, step, request, worker))
 
     def requests(self) -> list[str]:
@@ -217,4 +233,4 @@ class Channel:
     def reset(self) -> None:
         """Clear the message log."""
         self.messages.clear()
-        self._request_totals.clear()
+        self._totals.clear()

@@ -1,7 +1,7 @@
-"""Pipelined execution engine behind the batch-serving runtime.
+"""The execution layer behind the batch-serving runtime.
 
-This module is the execution half of what used to be the ``serving.py``
-monolith, split along the paper's own offline/online axis:
+This module is the execution half of the serving runtime, split along the
+paper's own offline/online axis:
 
 * :class:`EngineCache` -- one prepared
   :class:`~repro.protocols.primer.PrivateTransformerInference` engine per
@@ -13,28 +13,29 @@ monolith, split along the paper's own offline/online axis:
   first-seen), so distinct ``(model, variant)`` keys run on distinct
   workers and one hot model cannot block another's traffic.
 * :class:`BatchExecutor` -- runs one batch (full-inference or shared-slot
-  linear) with per-request channel/tracker attribution.  This is the serial
-  engine; ``ServingRuntime.run_pending()`` drains through it batch by batch,
-  behaviour-identical to the pre-split runtime.
-* :class:`PipelinedExecutor` -- the overlapped drain: offline preparation of
-  the engines that *later* batches need runs on a prepare pool while
-  *earlier* batches execute their online phases on sharded workers.  Every
-  engine is confined to its shard worker (its backend, tracker, channel and
-  sharing state are never touched by two threads), linear batches serialise
-  on the shared linear backend's lock, and per-key FIFO order is preserved
-  because each shard executes its batches in formation order -- which is why
-  the pipelined drain is bit-identical to the serial one (asserted for all
-  four Primer variants in the test-suite).
+  linear) with per-request channel/tracker attribution.
+* :class:`PipelinedExecutor` -- the one drain loop every serving path runs:
+  ``ServingRuntime.run_pending()`` flushes it inline (the serial
+  reference), ``run_pending_pipelined()`` flushes it on the shard workers,
+  and the async front door runs it continuously.  It forms batches under
+  the scheduling policy, runs each on its key's shard worker, builds the
+  engines of cold keys queued behind a busy worker on a background
+  thread, and routes every failure through one classifier (serial
+  re-run, retry, or typed failure).  Every engine is confined to one
+  worker at a time (its backend, tracker, channel and sharing state are
+  never touched by two threads), linear batches serialise on the shared
+  linear backend's lock, and per-key FIFO order is preserved because a
+  key never has two batches in flight.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
+import ctypes
+import functools
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Callable
 
@@ -44,7 +45,6 @@ from ..errors import EngineQuarantined, ProtocolError, ShapeError, TransientFaul
 from ..he.backend import HEBackend
 from ..he.bsgs import BSGSMatmulPlan, bsgs_geometry, prepare_bsgs_plan
 from ..he.matmul import bsgs_kernel_fits, encrypted_batch_matmul
-from ..he.ntt import cached_ntt_parameters, warm_ntt_cache
 from ..he.simulated import SimulatedHEBackend
 from ..nn.transformer import TransformerEncoder
 from ..protocols.channel import Channel, NetworkModel, Phase
@@ -57,9 +57,10 @@ from .faults import (
     SITE_ONLINE_EXECUTE,
     SITE_WORKER_SHARD,
     CircuitBreaker,
+    RetryPolicy,
     maybe_inject,
 )
-from .scheduler import Batch, BatchKey, InferenceRequest
+from .scheduler import Batch, BatchKey, BatchScheduler, InferenceRequest
 
 __all__ = [
     "RequestReport",
@@ -100,14 +101,13 @@ def _prepare_plan_remote(model, variant, seed, network, slot_sharing):
     return plan, engine.channel.messages, engine.tracker
 
 
-def _warm_worker_ntt_tables(parameter_pairs):
-    """Worker-pool initializer: build NTT twiddle tables once per process.
-
-    Under the ``fork`` start method the parent's warm tables are inherited
-    and this is a no-op cache hit; under ``spawn`` it moves the table build
-    to process start-up so no batch ever pays it inline.
-    """
-    warm_ntt_cache(parameter_pairs)
+@functools.cache
+def _malloc_trim() -> Callable[[int], int] | None:
+    """The C library's ``malloc_trim`` (glibc), or None where it has none."""
+    try:
+        return getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except (OSError, TypeError):
+        return None
 
 
 @dataclass
@@ -182,8 +182,8 @@ class EngineCacheStats:
 
     ``warm_starts + cold_builds + remote_builds`` equals the total number
     of engine builds: warm starts installed a plan from the persistent
-    store, cold builds ran the offline phase locally, remote builds adopted
-    a plan prepared in a worker process (the pipelined drain's default).
+    store, cold builds ran the offline phase in this process, remote builds
+    adopted a plan prepared in a worker process (:meth:`EngineCache.adopt_plan_future`).
 
     The fault-tolerance counters track the degradation ladder:
     ``build_failures`` counts failed build attempts (each feeds the key's
@@ -231,10 +231,6 @@ class EngineShardMap:
                 self._assignments[key] = worker
                 self._loads[worker] += 1
             return worker
-
-    def assignments(self) -> dict[BatchKey, int]:
-        with self._lock:
-            return dict(self._assignments)
 
 
 class EngineCache:
@@ -527,7 +523,7 @@ class EngineCache:
         # The offline exchanges happened in the worker process; fold their
         # traffic and operation counts into this engine's books so the
         # accounting invariants (per-phase, totals) hold as if prepared here.
-        engine.channel.messages.extend(offline_messages)
+        engine.channel.merge(offline_messages)
         engine.tracker.merge(offline_tracker)
         # Remotely prepared plans warm future processes too.
         self._persist_plan(key, generation, self._store_key(key, engine), plan)
@@ -660,7 +656,7 @@ class LinearServingPath:
     batch whose chunk geometry matches -- the online diagonal
     multiply-accumulate is then transform-free on the evaluation-resident
     backend.  Replacing a bank invalidates its plans
-    (:meth:`invalidate_bank`), mirroring the engine cache's model
+    (:meth:`replace_bank`), mirroring the engine cache's model
     invalidation.
     """
 
@@ -723,16 +719,8 @@ class LinearServingPath:
         """
         with self.lock:
             self.weight_banks[name] = weights
-            self._invalidate_bank_locked(name)
-
-    def invalidate_bank(self, name: str) -> None:
-        """Drop cached plans built from an older weight bank under ``name``."""
-        with self.lock:
-            self._invalidate_bank_locked(name)
-
-    def _invalidate_bank_locked(self, name: str) -> None:
-        for key in [k for k in self._bsgs_plans if k[0] == name]:
-            del self._bsgs_plans[key]
+            for key in [k for k in self._bsgs_plans if k[0] == name]:
+                del self._bsgs_plans[key]
 
 
 class BatchExecutor:
@@ -997,20 +985,28 @@ class BatchExecutor:
 
 
 class PipelinedExecutor:
-    """Sharded drain that overlaps offline preparation with online execution.
+    """The one drain loop behind every serving path.
 
-    Given the batches of one drain, the executor
+    :meth:`run` forms batches under the scheduling policy and runs each on
+    its key's :class:`EngineShardMap` worker.  A batch is formed only when
+    that worker is free and its key has no batch in flight, so per-key FIFO
+    order holds and no engine is driven by two threads at once -- which is
+    why every drain is bit-identical to the serial one.  While a worker is
+    busy, the engines of cold keys queued behind it are built on a
+    background thread (the overlap the paper's offline/online split
+    allows); a cold key that reaches an idle worker builds inline.  Not in
+    a process: replicas are daemonic processes, which may not start one.
 
-    1. prefetches the offline plan of every distinct inference key onto a
-       *prepare pool* (in first-batch order, so the engine a shard needs
-       first is prepared first), then
-    2. partitions the batches by :class:`EngineShardMap` worker and lets
-       each shard worker execute its batches in formation order.
-
-    While worker 0 runs batch N's online phase, the prepare pool is already
-    producing the offline plans later batches need -- the pipelining the
-    paper's offline/online split makes possible at serving scale.
+    One classifier handles every failed batch: a ``worker_shard`` fault
+    re-runs the batch serially (``worker=None``) with its reports marked
+    ``degraded``; a retryable error under a
+    :class:`~repro.runtime.faults.RetryPolicy` requeues the requests after
+    the policy's backoff; anything else fails the batch's requests.
     """
+
+    #: wake-up period of an idle loop; also catches submissions that do
+    #: not notify the loop (direct ``runtime.submit`` behind a front door)
+    _POLL_SECONDS = 0.05
 
     def __init__(self, base: BatchExecutor, *, num_workers: int = 2) -> None:
         if num_workers < 1:
@@ -1018,139 +1014,201 @@ class PipelinedExecutor:
         self.base = base
         self.num_workers = num_workers
         self.shard_map = EngineShardMap(num_workers)
-        #: shard batches that hit a transient fault and were re-executed
-        #: serially on the base executor (the worker-shard degradation rung)
-        self.serial_fallbacks = 0
+        #: batches re-run serially after a worker-shard fault
+        self.serial_fallbacks = 0  # guarded_by: _lock
+        self._lock = threading.Lock()
 
-    def drain(
+    def run(
         self,
-        batches: list[Batch],
-        on_batch_complete: Callable[[list[RequestReport]], None] | None = None,
+        scheduler: BatchScheduler,
+        on_complete: Callable[[list[RequestReport]], None],
+        *,
+        shards: bool = True,
+        serving: Callable[[], bool] | None = None,
+        on_fail: Callable[[list[InferenceRequest], Exception, dict[str, int]], None]
+        | None = None,
+        wakeup: threading.Condition | None = None,
+        retry_policy: RetryPolicy | None = None,
+        linger_seconds: float = 0.0,
     ) -> list[RequestReport]:
-        """Execute all batches; reports come back in batch-formation order.
+        """Drain ``scheduler``; ``on_complete`` gets each batch's reports.
 
-        ``on_batch_complete`` fires (serialised under a lock) as each batch
-        finishes, so a caller can register completions batch by batch -- an
-        error in one shard then cannot lose the results of batches that
-        already ran, matching the serial drain's durability guarantee.
+        ``shards=False`` runs every batch inline on the calling thread with
+        ``worker=None`` -- the serial reference.  Without ``serving`` the
+        loop *flushes*: it returns the reports in batch-formation order once
+        the queue is empty, and stops forming batches at the first failure,
+        which it re-raises.  With ``serving`` (called under ``wakeup``, which
+        submitters notify) it waits for submissions until ``serving()`` turns
+        false and the queue is empty, hands failures to ``on_fail(requests,
+        error, attempts by request id)`` and may linger for a batch to fill.
         """
-        if not batches:
-            return []
-
-        # Offline pipeline: every engine the drain will need but is not yet
-        # cached gets its offline plan prepared ahead of time, in
-        # first-appearance order (so the engine a shard needs first is
-        # prepared first).  With the default backend the preparation runs in
-        # *worker processes* -- the simulated-HE exchanges are GIL-bound, so
-        # only separate processes truly overlap them with the parent's
-        # online phases; custom backends fall back to a thread pool.
-        engines = self.base.engines
-        cached = set(engines.cached_keys())
-        prepare_keys: list[BatchKey] = []
-        for batch in batches:
-            if (
-                batch.key.kind == "inference"
-                and batch.key not in cached
-                and batch.key not in prepare_keys
-            ):
-                prepare_keys.append(batch.key)
-
-        shards: dict[int, list[Batch]] = {}
-        for batch in batches:
-            worker = self.shard_map.worker_for(batch.key)
-            shards.setdefault(worker, []).append(batch)
-
-        completed: dict[int, list[RequestReport]] = {}
-        completed_lock = threading.Lock()
-
-        def run_shard(worker: int, shard_batches: list[Batch]) -> None:
-            label = f"worker-{worker}"
-            for batch in shard_batches:
-                try:
-                    maybe_inject(SITE_WORKER_SHARD, label)
-                    reports = self.base.execute(batch, worker=label)
-                except TransientFault:
-                    # Worker-shard degradation rung: the failed batch
-                    # re-executes serially on the base executor (no worker
-                    # attribution), marked degraded in its reports.  The
-                    # shard itself lives on for its remaining batches.
-                    reports = self.base.execute(batch, worker=None)
-                    for report in reports:
-                        report.degraded = True
-                    with completed_lock:
-                        self.serial_fallbacks += 1
-                with completed_lock:
-                    completed[batch.batch_id] = reports
-                    if on_batch_complete is not None:
-                        on_batch_complete(reports)
-
-        prepare_pool, prefetches = self._start_offline_pipeline(prepare_keys)
+        cond = wakeup if wakeup is not None else threading.Condition()
+        busy: set[int | None] = set()  # workers running a batch
+        inflight: set[BatchKey] = set()  # keys with a batch in flight
+        prefetched: set[BatchKey] = set()  # cold keys being prepared, not yet formed
+        attempts: dict[str, int] = {}
+        completed: list[RequestReport] = []
         errors: list[Exception] = []
-        try:
-            with ThreadPoolExecutor(
+        shard_pool = prepare_pool = None
+        if shards:
+            shard_pool = ThreadPoolExecutor(
                 max_workers=self.num_workers, thread_name_prefix="shard"
-            ) as worker_pool:
-                futures = [
-                    worker_pool.submit(run_shard, worker, shard_batches)
-                    for worker, shard_batches in shards.items()
+            )
+            prepare_pool = ThreadPoolExecutor(
+                max_workers=self.num_workers, thread_name_prefix="offline-prepare"
+            )
+
+        def formable(key: BatchKey) -> bool:
+            return key not in inflight and (
+                shard_pool is None or self.shard_map.worker_for(key) not in busy
+            )
+
+        def cold_keys_behind_busy_workers() -> list[BatchKey]:
+            waiting = [
+                key for key in scheduler.pending_keys()
+                if key.kind == "inference" and key not in inflight
+                and key not in prefetched and self.shard_map.worker_for(key) in busy
+            ]
+            cached = set(self.base.engines.cached_keys()) if waiting else set()
+            return [key for key in waiting if key not in cached]
+
+        def fail_or_retry(batch: Batch, exc: Exception) -> None:
+            # Requeued requests keep their ids, sequence stamps and arrival
+            # order, so the key's next batch serves them first.  The backoff
+            # runs on this batch's worker while its key is still in flight.
+            now = time.perf_counter()
+            with cond:
+                counts = {r.request_id: attempts.pop(r.request_id, 1) for r in batch.requests}
+            retry = []
+            if retry_policy is not None and retry_policy.retryable(exc):
+                retry = [
+                    r for r in batch.requests
+                    if counts[r.request_id] < retry_policy.max_attempts
+                    and retry_policy.budget_remaining(r.submitted_at, now) > 0
                 ]
-                for future in futures:
-                    try:
-                        future.result()
-                    except Exception as exc:  # noqa: BLE001 - re-raised below
-                        errors.append(exc)
-            for prefetch in prefetches:
-                # Surface engine-build failures even if no shard consumed
-                # them -- except *transient* faults: the shard that needed
-                # the engine either retried the build itself (absorbing the
-                # fault) or failed on its own and is already in ``errors``;
-                # raising here would fail a drain whose every batch
-                # completed.
-                exc = prefetch.exception()
-                if (
-                    exc is not None
-                    and not getattr(exc, "retryable", False)
-                    and not errors
-                ):
+            if retry:
+                time.sleep(max(
+                    retry_policy.backoff_for(r.request_id, counts[r.request_id])
+                    for r in retry
+                ))
+                with cond:
+                    attempts.update((r.request_id, counts[r.request_id] + 1) for r in retry)
+                for request in reversed(retry):  # appendleft keeps arrival order
+                    scheduler.requeue(request)
+            retried = {r.request_id for r in retry}
+            failed = [r for r in batch.requests if r.request_id not in retried]
+            if failed and on_fail is not None:
+                on_fail(failed, exc, counts)
+            elif failed:
+                with cond:
                     errors.append(exc)
+
+        def execute(batch: Batch, worker: int | None) -> None:
+            label = None if worker is None else f"worker-{worker}"
+            try:
+                try:
+                    reports = self._execute(batch, label)
+                except Exception as exc:  # noqa: BLE001 - classified below
+                    fail_or_retry(batch, exc)
+                    return
+                with cond:
+                    counts = [attempts.pop(r.request_id, 1) for r in reports]
+                for report, count in zip(reports, counts, strict=True):
+                    report.attempts = count
+                    report.retried = count > 1
+                on_complete(reports)
+                if serving is None:
+                    with cond:
+                        completed.extend(reports)
+            except Exception as exc:  # noqa: BLE001 - a callback failed: stop the loop
+                with cond:
+                    errors.append(exc)
+            finally:
+                with cond:
+                    busy.discard(worker)
+                    inflight.discard(batch.key)
+                    cond.notify_all()
+
+        def linger() -> None:
+            deadline = time.perf_counter() + linger_seconds
+            while (remaining := deadline - time.perf_counter()) > 0:
+                with cond:
+                    depths = scheduler.queue_depths()
+                    if not serving() or not depths or (
+                        max(depths.values()) >= scheduler.max_batch_size
+                    ):
+                        return
+                    cond.wait(timeout=min(remaining, self._POLL_SECONDS))
+
+        scheduler.set_gate(formable)
+        try:
+            while True:
+                with cond:
+                    # ``errors`` holds a flush's first failure, or anything
+                    # that escaped a callback: stop forming, let in-flight
+                    # batches finish, then re-raise.
+                    stopping = bool(errors) or scheduler.pending() == 0 and (
+                        serving is None or not serving()
+                    )
+                    if stopping and not inflight:
+                        break
+                    ready = not errors and any(
+                        formable(key) for key in scheduler.pending_keys()
+                    )
+                    cold = []
+                    if prepare_pool is not None and not stopping:
+                        cold = cold_keys_behind_busy_workers()
+                        prefetched.update(cold)
+                    if not ready and not cold:
+                        cond.wait(timeout=self._POLL_SECONDS)
+                        continue
+                # A failed background build is recorded by the key's circuit
+                # breaker; the key's own batch then builds inline and
+                # reports the error, so these futures are not read.
+                for key in cold:
+                    self.base.engines.prefetch(key, prepare_pool)
+                if not ready:
+                    continue
+                if serving is not None and linger_seconds > 0:
+                    linger()
+                with cond:
+                    batch = scheduler.next_batch()
+                    if batch is None:
+                        continue
+                    worker = None if shard_pool is None else self.shard_map.worker_for(batch.key)
+                    busy.add(worker)
+                    inflight.add(batch.key)
+                    # Once formed, the key may leave the cache again (LRU
+                    # eviction, invalidation) and be prepared anew later.
+                    prefetched.discard(batch.key)
+                if shard_pool is None:
+                    execute(batch, None)
+                else:
+                    shard_pool.submit(execute, batch, worker)
         finally:
-            if prepare_pool is not None:
-                prepare_pool.shutdown(wait=True)
+            for pool in (shard_pool, prepare_pool):
+                if pool is not None:
+                    pool.shutdown(wait=True)
+            scheduler.set_gate(None)
+            # glibc keeps the freed pages of an exited thread's malloc arena
+            # until another thread takes the arena.  Shard threads live for
+            # one run, so hand their pages back once they have exited.
+            if shards and _malloc_trim() is not None:
+                _malloc_trim()(0)
         if errors:
             raise errors[0]
+        return sorted(completed, key=lambda report: report.batch_id)
 
-        ordered: list[RequestReport] = []
-        for batch in batches:
-            ordered.extend(completed.get(batch.batch_id, []))
-        return ordered
-
-    def _start_offline_pipeline(
-        self, prepare_keys: list[BatchKey]
-    ) -> tuple[ProcessPoolExecutor | ThreadPoolExecutor | None, list[Future]]:
-        """Kick off ahead-of-time offline preparation for ``prepare_keys``."""
-        engines = self.base.engines
-        if not prepare_keys:
-            return None, []
-        if engines.supports_remote_prepare:
-            workers = min(len(prepare_keys), max(1, (os.cpu_count() or 2) - 1))
+    def _execute(self, batch: Batch, label: str | None) -> list[RequestReport]:
+        """Run one batch; a worker-shard fault re-runs it serially, degraded."""
+        if label is not None:
             try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                context = multiprocessing.get_context()
-            pool: ProcessPoolExecutor | ThreadPoolExecutor = ProcessPoolExecutor(
-                max_workers=workers, mp_context=context,
-                # Twiddle tables are built once per worker process (a cache
-                # hit under fork), never per batch.
-                initializer=_warm_worker_ntt_tables,
-                initargs=(cached_ntt_parameters(),),
-            )
-            prefetches = []
-            for key in prepare_keys:
-                future = pool.submit(_prepare_plan_remote, *engines.remote_prepare_args(key))
-                engines.adopt_plan_future(key, future)
-                prefetches.append(future)
-            return pool, prefetches
-        pool = ThreadPoolExecutor(
-            max_workers=len(prepare_keys), thread_name_prefix="offline-prepare"
-        )
-        return pool, [engines.prefetch(key, pool) for key in prepare_keys]
+                maybe_inject(SITE_WORKER_SHARD, label)
+            except TransientFault:
+                reports = self.base.execute(batch, worker=None)
+                for report in reports:
+                    report.degraded = True
+                with self._lock:
+                    self.serial_fallbacks += 1
+                return reports
+        return self.base.execute(batch, worker=label)

@@ -27,7 +27,8 @@ never by mocks.  The pieces:
 * :class:`RetryPolicy` -- bounded attempts, exponential backoff with
   *deterministic seeded jitter* (a hash of ``(seed, request_id, attempt)``,
   no global RNG), and a per-request ``timeout_seconds`` deadline budget
-  shared across attempts.  Enforced by the async front door.
+  shared across attempts.  Enforced by the drain loop behind the async
+  front door.
 
 Registered sites
 ----------------
@@ -40,7 +41,7 @@ site                      instrumented in
 ``offline_prepare``       remote-plan adoption in :meth:`EngineCache.entry`
 ``online_execute``        :meth:`BatchExecutor.execute` entry
 ``kernel_dispatch``       :func:`repro.he.kernels.stacked_ntt` dispatch
-``worker_shard``          :class:`PipelinedExecutor` shard workers
+``worker_shard``          drain-loop shard workers (:class:`PipelinedExecutor`)
 ``conn_send``             :func:`repro.runtime.net.send_frame` (wire writes;
                           also corrupt rules -- the CRC must catch them)
 ``conn_recv``             :func:`repro.runtime.net.recv_frame` (wire reads)

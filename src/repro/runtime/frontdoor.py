@@ -9,10 +9,14 @@ executing.  :class:`AsyncServingRuntime` closes that gap:
 * :meth:`AsyncServingRuntime.submit` returns immediately with a
   :class:`RequestHandle` (a future: ``result()`` blocks until the request's
   :class:`~repro.runtime.executor.RequestReport` is ready);
-* a background **drain loop** forms batches continuously under the
-  runtime's existing :class:`~repro.runtime.scheduler.SchedulingPolicy` --
-  the scheduler's queue lock (shared with ``submit``) is what makes
-  concurrent submission safe, and the scheduler's fairness invariant
+* a background thread runs the runtime's **drain loop**
+  (:meth:`~repro.runtime.executor.PipelinedExecutor.run`) continuously: it
+  forms batches under the runtime's
+  :class:`~repro.runtime.scheduler.SchedulingPolicy` and runs distinct
+  ``(model, variant)`` keys on up to ``num_workers`` shard threads,
+  preparing the offline plans of cold keys queued behind a busy worker in
+  the background.  The scheduler's queue lock (shared with ``submit``)
+  makes concurrent submission safe, and its fairness invariant
   (single-key batches, per-key FIFO, no head starvation) holds unchanged;
 * :meth:`close` flushes: it stops accepting submissions, drains everything
   still queued, and joins the loop -- no request is abandoned.
@@ -21,15 +25,11 @@ Equivalence
 -----------
 The protocol's logits are deterministic functions of the inputs -- they do
 not depend on the sharing randomness, the batch a request lands in, or the
-batch's size (``run_batch`` is bit-identical to per-request ``run``, and the
-serial/pipelined drains are bit-identical to each other).  The front door
-executes every batch through the same :class:`BatchExecutor` on one loop
-thread, with per-key arrival order preserved by the scheduler, so **any**
-interleaving of submits and drains yields reports whose logits are
-bit-identical to a serial submit-all-then-``run_pending()`` pass over the
-same requests -- the equivalence the test-suite asserts.
-
-Failure isolation: an executor error fails only the handles of the batch
+batch's size.  The door runs the same loop as ``run_pending()``, and a key
+never has two batches in flight, so **any** interleaving of submits and
+drains yields logits bit-identical to a serial submit-all-then-
+``run_pending()`` pass over the same requests -- the equivalence the
+test-suite asserts.  An executor error fails only the handles of the batch
 that raised; the loop keeps serving later batches.
 
 Fault tolerance
@@ -66,7 +66,6 @@ after failing (not abandoning) their handles with the same error.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -75,7 +74,6 @@ from ..errors import OverloadedError, ProtocolError, RequestFailed, ShutdownTime
 from ..protocols.primer import PRIMER_FPC, PrimerVariant
 from .executor import RequestReport
 from .faults import RetryPolicy
-from .scheduler import Batch
 from .serving import ServingRuntime
 
 __all__ = ["RequestHandle", "AdmissionController", "AsyncServingRuntime"]
@@ -232,8 +230,6 @@ class AsyncServingRuntime:
     :meth:`close`, which flushes all queued work.
     """
 
-    _POLL_SECONDS = 0.05  # also catches direct runtime.submit() calls
-
     def __init__(
         self,
         models=None,
@@ -257,8 +253,6 @@ class AsyncServingRuntime:
         self.retry_policy = retry_policy
         self.admission = admission
         self._futures: dict[str, Future] = {}  # guarded_by: _lock
-        #: request id -> executions so far; touched only by the drain thread
-        self._attempts: dict[str, int] = {}
         #: request id -> admitted payload bytes (released on resolution)
         self._payload_bytes: dict[str, int] = {}  # guarded_by: _lock
         self._lock = threading.Lock()
@@ -268,7 +262,7 @@ class AsyncServingRuntime:
         self._retried_requests = 0  # guarded_by: _lock
         self._drain_error: BaseException | None = None
         self._thread = threading.Thread(
-            target=self._drain_loop, name="frontdoor-drain", daemon=True
+            target=self._drain, name="frontdoor-drain", daemon=True
         )
         self._thread.start()
 
@@ -362,25 +356,23 @@ class AsyncServingRuntime:
             self.admission.release(payload_bytes)
 
     # -- drain loop ----------------------------------------------------------
-    def _drain_loop(self) -> None:
+    def _drain(self) -> None:
         try:
-            while True:
-                with self._wakeup:
-                    while not self._closing and self.runtime.scheduler.pending() == 0:
-                        self._wakeup.wait(timeout=self._POLL_SECONDS)
-                    if self._closing and self.runtime.scheduler.pending() == 0:
-                        return
-                if self.linger_seconds > 0:
-                    self._linger()
-                batch = self.runtime.scheduler.next_batch()
-                if batch is None:
-                    continue
-                self._execute(batch)
+            self.runtime.pipeline.run(
+                self.runtime.scheduler, self._complete,
+                serving=self._serving_locked, on_fail=self._fail_requests,
+                wakeup=self._wakeup, retry_policy=self.retry_policy,
+                linger_seconds=self.linger_seconds,
+            )
         except BaseException as exc:  # noqa: BLE001 - recorded, then re-raised
             self._drain_error = exc
             raise
         finally:
             self._abandon_outstanding()
+
+    def _serving_locked(self) -> bool:
+        """Whether the loop waits for more submissions.  Caller holds ``_wakeup``."""
+        return not self._closing
 
     def _abandon_outstanding(self) -> None:
         """Fail every unresolved handle (the loop exited or died).
@@ -404,32 +396,8 @@ class AsyncServingRuntime:
                 ProtocolError(f"front door drain loop exited before completion{detail}")
             )
 
-    def _linger(self) -> None:
-        """Hold off batch formation briefly so a batch can fill."""
-        deadline = time.perf_counter() + self.linger_seconds
-        capacity = self.runtime.scheduler.max_batch_size
-        while True:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                return
-            with self._wakeup:
-                if self._closing:
-                    return
-                depths = self.runtime.scheduler.queue_depths()
-                if not depths or max(depths.values()) >= capacity:
-                    return
-                self._wakeup.wait(timeout=min(remaining, self._POLL_SECONDS))
-
-    def _execute(self, batch: Batch) -> None:
-        try:
-            reports = self.runtime.executor.execute(batch)
-        except Exception as exc:  # noqa: BLE001 - forwarded to the handles
-            self._handle_batch_failure(batch, exc)
-            return
-        for report in reports:
-            attempts = self._attempts.pop(report.request_id, 1)
-            report.attempts = attempts
-            report.retried = attempts > 1
+    def _complete(self, reports: list[RequestReport]) -> None:
+        """Resolve a finished batch's handles with their reports."""
         self.runtime._record_completions(reports)
         with self._lock:
             futures = [self._futures.pop(r.request_id, None) for r in reports]
@@ -440,79 +408,29 @@ class AsyncServingRuntime:
             if future is not None:
                 future.set_result(report)
 
-    def _handle_batch_failure(self, batch: Batch, exc: Exception) -> None:
-        """Classify one failed batch execution: retry, or fail the handles.
-
-        Without a retry policy -- or for a non-retryable error -- the batch's
-        handles fail immediately (wrapped in
-        :class:`~repro.errors.RequestFailed`).  A retryable fault re-submits
-        every request that still has attempts and deadline budget left
-        through the scheduler (front of the queue, original order and
-        attribution preserved) after the policy's deterministic backoff;
-        requests out of attempts or budget fail typed instead.
-        """
-        policy = self.retry_policy
-        if policy is None or not policy.retryable(exc):
-            self._fail_batch(batch, exc)
-            return
-        now = time.perf_counter()
-        to_retry: list[tuple] = []
-        exhausted: list = []
-        for request in batch.requests:
-            attempts = self._attempts.get(request.request_id, 1)
-            out_of_attempts = attempts >= policy.max_attempts
-            out_of_budget = policy.budget_remaining(request.submitted_at, now) <= 0
-            if out_of_attempts or out_of_budget:
-                exhausted.append(request)
-            else:
-                to_retry.append((request, attempts))
-        if exhausted:
-            self._fail_requests(exhausted, exc)
-            with self._lock:
-                self._batches_executed += 1
-        if not to_retry:
-            return
-        delay = max(
-            policy.backoff_for(request.request_id, attempts)
-            for request, attempts in to_retry
-        )
-        if delay > 0:
-            time.sleep(delay)
-        # Reversed + appendleft preserves the batch's arrival order at the
-        # head of the queue; the original sequence stamps make the retried
-        # requests the oldest of their key, so they are served next.
-        for request, attempts in reversed(to_retry):
-            self._attempts[request.request_id] = attempts + 1
-            self.runtime.scheduler.requeue(request)
-
-    def _fail_batch(self, batch: Batch, exc: Exception) -> None:
-        """An executor error fails this batch's handles; the loop lives on."""
-        self._fail_requests(batch.requests, exc)
-        with self._lock:
-            self._batches_executed += 1
-
-    def _fail_requests(self, requests, exc: Exception) -> None:
+    def _fail_requests(
+        self, requests, exc: Exception, attempts: dict[str, int] | None = None
+    ) -> None:
         """Fail each request's handle with a typed ``RequestFailed``.
 
-        Each future is popped exactly once, so a handle can never be
-        resolved twice; the raw executor error is chained as ``__cause__``
-        and its message embedded, so both the type and the text survive.
+        ``attempts`` maps request ids to their executions (default 1).  Each
+        future is popped exactly once, so a handle can never be resolved
+        twice; the raw executor error is chained as ``__cause__`` and its
+        message embedded, so both the type and the text survive.
         """
         with self._lock:
-            items = [
-                (request, self._futures.pop(request.request_id, None))
-                for request in requests
-            ]
-        for request, future in items:
+            futures = [self._futures.pop(request.request_id, None) for request in requests]
+            self._batches_executed += 1
+        for request, future in zip(requests, futures, strict=True):
             self._release_admission(request.request_id)
-            attempts = self._attempts.pop(request.request_id, 1)
             if future is None:
                 continue
+            count = (attempts or {}).get(request.request_id, 1)
             failure = RequestFailed(
-                f"request {request.request_id!r} failed after {attempts} "
+                f"request {request.request_id!r} failed after {count} "
                 f"attempt(s): {exc}",
                 request_id=request.request_id,
-                attempts=attempts,
+                attempts=count,
                 site=getattr(exc, "site", ""),
             )
             failure.__cause__ = exc

@@ -834,9 +834,8 @@ def spawn_replica_process(
 ) -> ReplicaProcessHandle:
     """Fork one :class:`ReplicaServer` into its own process.
 
-    Uses the ``fork`` start method (the kernel tiers' shared pools are
-    pid-keyed, so forked children rebuild them safely) so the models need no
-    serialization; the child reports its bound port back over a pipe.  The
+    Uses the ``fork`` start method so the models need no serialization;
+    the child reports its bound port back over a pipe.  The
     process is a daemon: it can be SIGKILLed mid-batch -- the point -- and
     dies with its parent.  SIGTERM triggers a graceful front-door drain.
     """

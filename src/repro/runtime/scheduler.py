@@ -40,7 +40,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
 from ..errors import ProtocolError
@@ -229,6 +229,7 @@ class BatchScheduler:
         self._sequence = itertools.count()
         self._batch_ids = itertools.count()
         self._closed = False  # guarded_by: _lock
+        self._gate: Callable[[BatchKey], bool] | None = None  # guarded_by: _lock
         #: guards the queue; reentrant so ``drain`` can call ``next_batch``
         self._lock = threading.RLock()
 
@@ -281,6 +282,16 @@ class BatchScheduler:
                 )
             self._batch_ids = itertools.count(base)
 
+    def set_gate(self, gate: Callable[[BatchKey], bool] | None) -> None:
+        """Form batches only of keys ``gate`` accepts (``None`` accepts all).
+
+        The drain loop gates out keys that already have a batch in flight or
+        whose shard worker is busy.  Gated requests keep their queue
+        position, and ``gate`` runs under the queue lock.
+        """
+        with self._lock:
+            self._gate = gate
+
     def close(self) -> None:
         """Refuse new submissions (batch formation keeps working).  Idempotent."""
         with self._lock:
@@ -331,13 +342,17 @@ class BatchScheduler:
         """Form the next batch according to the scheduling policy.
 
         Requests with other keys keep their queue position, so an
-        incompatible burst cannot push an older request backwards.
+        incompatible burst cannot push an older request backwards.  Only
+        requests the gate (see :meth:`set_gate`) accepts are offered to the
+        policy; ``None`` means nothing is formable.
         """
         with self._lock:
-            if not self._queue:
+            gate = self._gate
+            queue = tuple(r for r in self._queue if gate is None or gate(r.key))
+            if not queue:
                 return None
-            taken = self.policy.select(tuple(self._queue), self.max_batch_size)
-            self._validate_selection_locked(taken)
+            taken = self.policy.select(queue, self.max_batch_size)
+            self._validate_selection_locked(queue, taken)
             # Arrival order within the batch, regardless of selection order.
             taken = sorted(taken, key=lambda r: r.sequence)
             chosen = {id(request) for request in taken}
@@ -346,7 +361,9 @@ class BatchScheduler:
                 batch_id=next(self._batch_ids), key=taken[0].key, requests=taken
             )
 
-    def _validate_selection_locked(self, taken: list[InferenceRequest]) -> None:
+    def _validate_selection_locked(
+        self, queue: tuple[InferenceRequest, ...], taken: list[InferenceRequest]
+    ) -> None:
         policy = type(self.policy).__name__
         if not taken:
             raise ProtocolError(f"{policy} selected an empty batch")
@@ -355,15 +372,13 @@ class BatchScheduler:
                 f"{policy} selected {len(taken)} requests, over the "
                 f"max batch size {self.max_batch_size}"
             )
-        queued = {id(request) for request in self._queue}
+        queued = {id(request) for request in queue}
         if any(id(request) not in queued for request in taken):
             raise ProtocolError(f"{policy} selected requests not in the queue")
         key = taken[0].key
         if any(request.key != key for request in taken):
             raise ProtocolError(f"{policy} mixed compatibility keys in one batch")
-        oldest = min(
-            (r for r in self._queue if r.key == key), key=lambda r: r.sequence
-        )
+        oldest = min((r for r in queue if r.key == key), key=lambda r: r.sequence)
         if all(request is not oldest for request in taken):
             raise ProtocolError(
                 f"{policy} starved the per-key head request {oldest.request_id!r}"

@@ -11,20 +11,22 @@ README's "Serving architecture" section):
 * **executors** (:mod:`repro.runtime.executor`) -- the
   :class:`~repro.runtime.executor.BatchExecutor` runs one batch with full
   per-request attribution; the
-  :class:`~repro.runtime.executor.PipelinedExecutor` shards engines across
-  workers and overlaps offline preparation with online execution;
+  :class:`~repro.runtime.executor.PipelinedExecutor` is the one drain loop:
+  it shards keys across workers and overlaps offline preparation with
+  online execution;
 * **policies** (:mod:`repro.runtime.scheduler`) -- batch formation is a
   pluggable :class:`~repro.runtime.scheduler.SchedulingPolicy` (FIFO
   default, earliest-deadline-first, size-aware slot packing), all bound by
   the scheduler-enforced per-key FIFO fairness invariant.
 
 :class:`ServingRuntime` preserves the original API: ``submit`` /
-``submit_linear`` queue requests, ``run_pending()`` drains serially (batch
-after batch, behaviour-identical to the pre-split runtime) and
-``run_pending_pipelined()`` drains through the sharded pipeline.  Both paths
-produce bit-identical logits -- the protocol's outputs are deterministic
-functions of the inputs regardless of the sharing randomness -- which the
-test-suite asserts for all four Primer variants.
+``submit_linear`` queue requests, ``run_pending()`` flushes the drain loop
+inline on the caller's thread (the serial reference) and
+``run_pending_pipelined()`` flushes it on the shard workers; the async
+front door runs the same loop continuously.  Every path produces
+bit-identical logits -- the protocol's outputs are deterministic functions
+of the inputs regardless of the sharing randomness -- which the test-suite
+asserts for all four Primer variants.
 """
 
 from __future__ import annotations
@@ -165,13 +167,15 @@ class ServingRuntime:
         Scheduling policy for batch formation; default FIFO (the original
         behaviour).
     num_workers:
-        Shard workers used by :meth:`run_pending_pipelined`.
+        Shard workers of the drain loop: :meth:`run_pending_pipelined` and
+        the async front door run distinct ``(model, variant)`` keys on up
+        to this many threads (:meth:`run_pending` stays serial).
     network:
         Optional :class:`~repro.protocols.channel.NetworkModel` to
         *realize*: every protocol message then actually waits out its
-        transfer time, emulating the paper's two-instance deployment.  The
-        pipelined executor overlaps the offline phase's wire time with
-        online execution; the serial drain pays it inline.
+        transfer time, emulating the paper's two-instance deployment.
+        Shard workers overlap one key's wire time with another's compute;
+        the serial drain pays it inline.
     fhgs_slot_sharing:
         FHGS block-diagonal slot-sharing capacity: engines prepare their
         offline plans so that up to this many compatible requests share one
@@ -353,38 +357,31 @@ class ServingRuntime:
     def _record_completions(self, batch_reports: list[RequestReport]) -> None:
         """Register finished reports so :meth:`result` can serve them.
 
-        Called batch by batch from every drain path (serial, pipelined, and
-        the async front door's continuous loop), so an error in a later
-        batch cannot lose the results of batches that already ran.
+        Called batch by batch from the drain loop, whichever caller runs it.
         """
         for report in batch_reports:
             self._completed[report.request_id] = report
 
     def run_pending(self) -> list[RequestReport]:
-        """Drain the queue serially, batch after batch; returns all reports."""
-        reports: list[RequestReport] = []
-        while True:
-            batch = self.scheduler.next_batch()
-            if batch is None:
-                break
-            batch_reports = self.executor.execute(batch)
-            self._record_completions(batch_reports)
-            reports.extend(batch_reports)
-        return reports
+        """Drain the queue serially on the caller's thread; returns all reports.
+
+        The drain loop flushed inline with ``worker=None`` -- the serial
+        reference every other drain is bit-identical to.  Completions
+        register batch by batch, so an error in a later batch (re-raised
+        here) cannot lose the results of batches that already ran.
+        """
+        return self.pipeline.run(self.scheduler, self._record_completions, shards=False)
 
     def run_pending_pipelined(self) -> list[RequestReport]:
-        """Drain the queue through the sharded offline/online pipeline.
+        """Drain the queue through the ``num_workers`` shard workers.
 
-        Batches are formed by the same policy as :meth:`run_pending`; they
-        then run on per-key shard workers while the offline plans of
-        not-yet-started engines are prepared in the background.  Reports
-        come back in batch-formation order and the logits are bit-identical
-        to a serial drain.  Completions register batch by batch (like the
-        serial drain), so an error in one shard cannot lose the results of
-        batches that already ran.
+        Batches are formed by the same policy as :meth:`run_pending` and run
+        on per-key shard workers while the offline plans of cold keys queued
+        behind a busy worker are prepared in the background.  Reports come
+        back in batch-formation order and the logits are bit-identical to a
+        serial drain.
         """
-        batches = self.scheduler.drain()
-        return self.pipeline.drain(batches, on_batch_complete=self._record_completions)
+        return self.pipeline.run(self.scheduler, self._record_completions)
 
     def result(self, request_id: str) -> RequestReport:
         """Report of a completed request."""

@@ -1,9 +1,9 @@
-"""Compiled/parallel kernel tier: bit-identity, selection, calibration.
+"""Compiled kernel tier: bit-identity, selection, calibration.
 
-The kernel tier moves the NTT butterflies and the BSGS inner loop into
-compiled (and optionally multicore / numba-jitted) implementations behind
-:mod:`repro.he.kernels`.  The whole contract is *bit-identity*: every tier
-must produce exactly the arrays the ``reference`` numpy path produces --
+The kernel tier moves the NTT butterflies and the BSGS inner loop into a
+compiled C implementation behind :mod:`repro.he.kernels`.  The whole
+contract is *bit-identity*: every tier must produce exactly the arrays the
+``reference`` numpy path produces --
 per primitive (forward/inverse NTT, pointwise multiply, fused accumulate)
 across every modulus the parameter families generate, and end to end
 (serving logits, tracker-measured transform and rotation counts).  The

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.he import ExactBFVBackend, toy_parameters
@@ -18,7 +20,14 @@ from repro.protocols import (
     PROTOCOL_FORMAT,
     garbled_share_relu,
 )
-from repro.protocols.channel import Channel, Phase
+from repro.protocols.channel import Channel, Message, Phase
+
+#: one message: (request tag or None, phase, bytes)
+_message_strategy = st.tuples(
+    st.sampled_from([None, "r0", "r1", "r2"]),
+    st.sampled_from([Phase.ONLINE, Phase.OFFLINE]),
+    st.integers(min_value=0, max_value=1 << 20),
+)
 
 
 class TestChannel:
@@ -36,6 +45,44 @@ class TestChannel:
         channel = Channel()
         channel.send("client", "server", 100_000_000)
         assert channel.network_time() == pytest.approx(1.0 + 2.3e-3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("send"), _message_strategy),
+                st.tuples(st.just("merge"), st.lists(_message_strategy, max_size=4)),
+                st.tuples(st.just("reset"), st.none()),
+            ),
+            max_size=25,
+        )
+    )
+    def test_running_totals_equal_a_rescan(self, operations):
+        """The O(1) phase and request totals track every send, merge and
+        reset exactly as a rescan of ``messages`` would count them."""
+        channel = Channel()
+        for op, arg in operations:
+            if op == "send":
+                request, phase, num_bytes = arg
+                channel.set_request(request)
+                channel.send("client", "server", num_bytes, phase=phase)
+            elif op == "merge":
+                channel.merge(
+                    [Message("server", "client", b, p, "merged", request=r) for r, p, b in arg]
+                )
+            else:
+                channel.reset()
+        for request in (None, "r0", "r1", "r2"):
+            for phase in (None, Phase.ONLINE, Phase.OFFLINE):
+                scanned = [
+                    m for m in channel.messages
+                    if (phase is None or m.phase is phase)
+                    and (request is None or m.request == request)
+                ]
+                assert channel.total_bytes(phase, request=request) == sum(
+                    m.num_bytes for m in scanned
+                )
+                assert channel.round_count(phase, request=request) == len(scanned)
 
 
 class TestHGS:
